@@ -28,12 +28,9 @@ from .errors import (
 )
 from .types import (
     DiscreteState,
-    LinearizationPair,
     ParameterVector,
     TimeGrid,
     Trajectory,
-    state_pack,
-    state_unpack,
 )
 from .model import (
     DiscreteSlotDerivatives,
@@ -42,7 +39,6 @@ from .model import (
     LagrangianBundle,
     MechanicalModel,
     discrete_force_minus,
-    discrete_force_plus,
     discrete_lagrangian,
     slot_derivatives,
     spring_param_derivatives,
@@ -90,7 +86,6 @@ from .estimation import (
     Observation,
     adjoint_gradient,
     cost,
-    feedback_force,
     identify,
     ingest_series,
     read_series_csv,
@@ -123,9 +118,6 @@ __all__ = [
     "DiscreteState",
     "ParameterVector",
     "Trajectory",
-    "LinearizationPair",
-    "state_pack",
-    "state_unpack",
     # model interface
     "LagrangianBundle",
     "MechanicalModel",
@@ -134,7 +126,6 @@ __all__ = [
     "DiscreteSlotDerivatives",
     "discrete_lagrangian",
     "discrete_force_minus",
-    "discrete_force_plus",
     "slot_derivatives",
     "spring_param_derivatives",
     # bundled models
@@ -178,7 +169,6 @@ __all__ = [
     "IdentificationResult",
     "identify",
     "FeedbackForce",
-    "feedback_force",
     "read_series_csv",
     "write_series_csv",
     "ingest_series",

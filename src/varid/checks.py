@@ -143,7 +143,7 @@ def check_step_linearization(
     rho = np.asarray(rho, dtype=float)
     n, n_h = model.n_q, model.n_h
     result = step(model, state, rho, t, dt, _TIGHT)
-    sens = linearize_step(model, state, result, rho, t, dt)
+    sens = linearize_step(model, state, result.next, rho, t, dt)
 
     def solved(q0, p0, r):
         res = step(model, DiscreteState(q0, p0, state.lam), r, t, dt, _TIGHT)
@@ -246,7 +246,7 @@ def sample_states(
         q0 = project_to_constraint(model, q0, rho)
     v0 = 0.3 * rng.standard_normal(n)
     forced = ForcedModel(model, _SinusoidDrive(n, drive, rng))
-    _, p0 = forced.lagrangian_gradients(q0, v0, rho)
+    p0 = forced.lagrangian_derivatives(q0, v0, rho).v_grad
     grid = TimeGrid(t0=0.0, dt=dt, steps=steps)
     traj = rollout(forced, DiscreteState(q0, p0, np.zeros(model.n_h)), rho, grid, _TIGHT)
     picks = rng.choice(np.arange(1, steps), size=count, replace=False)

@@ -20,6 +20,7 @@ compared through the manifest alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -56,6 +57,9 @@ from .types import ParameterVector, TimeGrid
 
 __all__ = ["main"]
 
+# the check battery draws distinct states from a 60-step sampling rollout
+_MAX_CHECK_POINTS = 59
+
 
 # -- config plumbing -----------------------------------------------------------
 
@@ -89,18 +93,63 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+_REQUIRED = object()
+
+
+@contextlib.contextmanager
+def _reading(field: str):
+    """Report a ``TypeError`` or ``ValueError`` raised while reading
+    config ``field`` as a :class:`ConfigError` naming the field."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {field}: {exc}") from None
+
+
+def _field(doc: dict, key: str, convert=float, default=_REQUIRED, section: str = ""):
+    """``convert(doc[key])``, or ``convert(default)`` when ``key`` is
+    absent; a missing required field or a value ``convert`` rejects
+    raises :class:`ConfigError` naming ``section.key``."""
+    name = f"{section}.{key}" if section else key
+    if key not in doc and default is _REQUIRED:
+        raise ConfigError(f"config is missing required field '{name}'")
+    with _reading(name):
+        return convert(doc.get(key, default))
+
+
+def _section(cfg: dict, key: str) -> dict:
+    doc = cfg.get(key, {})
+    if not isinstance(doc, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    return doc
+
+
+def _vector(value, n: int) -> np.ndarray:
+    """A number or a list, broadcast to a length-``n`` float array."""
+    a = np.asarray(value, dtype=float)
+    try:
+        return np.broadcast_to(a, (n,)).astype(float)
+    except ValueError:
+        raise ValueError(f"must be a number or a length-{n} array") from None
+
+
+def _nonnegative(value) -> float:
+    x = float(value)
+    if not x >= 0.0:
+        raise ValueError(f"must be nonnegative, got {x:g}")
+    return x
+
+
 def _build_grid(cfg: dict) -> TimeGrid:
     g = _require(cfg, "grid")
     if not isinstance(g, dict):
         raise ConfigError("'grid' must be an object with dt and steps")
-    try:
+    with _reading("grid"):
         return TimeGrid(
-            t0=float(g.get("t0", 0.0)),
-            dt=float(_require(g, "dt")),
-            steps=int(_require(g, "steps")),
+            t0=_field(g, "t0", float, 0.0, "grid"),
+            dt=_field(g, "dt", float, section="grid"),
+            steps=_field(g, "steps", int, section="grid"),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid: {exc}") from None
 
 
 def _build_model(cfg: dict):
@@ -109,10 +158,8 @@ def _build_model(cfg: dict):
         doc = _resolve(cfg, doc)
         if not os.path.exists(doc):
             raise ConfigError(f"model file not found: {doc}")
-    try:
+    with _reading("model"):
         return load_model(doc)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid model: {exc}") from None
 
 
 def _rest_configuration(model) -> np.ndarray:
@@ -124,19 +171,18 @@ def _rest_configuration(model) -> np.ndarray:
 
 
 def _initial_conditions(model, cfg: dict):
-    init = cfg.get("initial", {})
-    if not isinstance(init, dict):
-        raise ConfigError("'initial' must be an object")
+    init = _section(cfg, "initial")
+    n = model.n_q
     q = init.get("q", "rest")
     if isinstance(q, str):
         if q != "rest":
             raise ConfigError(f"initial.q must be an array or \"rest\", got {q!r}")
         q = _rest_configuration(model)
-    q = np.asarray(q, dtype=float)
-    v = init.get("v", 0.0)
-    v = np.broadcast_to(np.asarray(v, dtype=float), (model.n_q,)).astype(float)
-    if q.shape != (model.n_q,):
-        raise ConfigError(f"initial.q must have length {model.n_q}")
+    else:
+        q = _field(init, "q", lambda v: np.asarray(v, dtype=float), section="initial")
+    if q.shape != (n,):
+        raise ConfigError(f"initial.q must have length {n}")
+    v = _field(init, "v", lambda v: _vector(v, n), 0.0, "initial")
     return q, v
 
 
@@ -147,38 +193,30 @@ def _build_observation(model, cfg: dict):
     if not isinstance(doc, dict):
         raise ConfigError("'observation' must be an object")
     kind = doc.get("type")
-    try:
-        if kind == "coordinates":
-            return CoordinateObservation(_require(doc, "indices"), model.n_q)
-        if kind == "link_position":
-            if not isinstance(model, ChainModel):
-                raise ConfigError("link_position observation needs a chain model")
-            return LinkPositionObservation(model, int(_require(doc, "link")))
-    except ValueError as exc:
-        raise ConfigError(f"invalid observation: {exc}") from None
+    if kind == "coordinates":
+        return _field(
+            doc, "indices", lambda v: CoordinateObservation(v, model.n_q),
+            section="observation",
+        )
+    if kind == "link_position":
+        if not isinstance(model, ChainModel):
+            raise ConfigError("link_position observation needs a chain model")
+        return _field(
+            doc, "link", lambda v: LinkPositionObservation(model, int(v)),
+            section="observation",
+        )
     raise ConfigError(f"unknown observation type: {kind!r}")
 
 
 def _actuated(model, cfg: dict):
-    joints = cfg.get("actuated")
-    if joints is None:
+    if cfg.get("actuated") is None:
         return None
-    idx = np.asarray(list(joints), dtype=int)
-    if idx.size == 0 or idx.min() < 0 or idx.max() >= model.n_q:
+    idx = _field(cfg, "actuated", lambda v: np.asarray(list(v), dtype=int))
+    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= model.n_q:
         raise ConfigError("'actuated' must list valid joint indices")
     if np.unique(idx).size != idx.size:
         raise ConfigError("'actuated' must not repeat joints")
     return idx
-
-
-def _per_channel(doc: dict, key: str, m: int, default: float) -> np.ndarray:
-    val = doc.get(key, default)
-    try:
-        return np.broadcast_to(np.asarray(val, dtype=float), (m,)).astype(float)
-    except ValueError:
-        raise ConfigError(
-            f"excitation.{key} must be a scalar or a length-{m} array"
-        ) from None
 
 
 def _excitation_series(cfg: dict, grid: TimeGrid, actuated) -> np.ndarray:
@@ -197,51 +235,45 @@ def _excitation_series(cfg: dict, grid: TimeGrid, actuated) -> np.ndarray:
     kind = doc.get("type", "sinusoid")
     if kind != "sinusoid":
         raise ConfigError(f"unknown excitation type: {kind!r}")
-    amp = _per_channel(doc, "amplitude", m, 0.0)
-    freq = _per_channel(doc, "frequency", m, 1.0)
-    phase = _per_channel(doc, "phase", m, 0.0)
-    offset = _per_channel(doc, "offset", m, 0.0)
+
+    def channel(key, default):
+        return _field(doc, key, lambda v: _vector(v, m), default, "excitation")
+
+    amp = channel("amplitude", 0.0)
+    freq = channel("frequency", 1.0)
+    phase = channel("phase", 0.0)
+    offset = channel("offset", 0.0)
     t = grid.times()[:, None]
     return offset + amp * np.sin(2.0 * np.pi * freq * t + phase)
 
 
 def _solver_settings(cfg: dict) -> SolverSettings:
-    doc = cfg.get("solver", {})
-    if not isinstance(doc, dict):
-        raise ConfigError("'solver' must be an object")
-    try:
+    doc = _section(cfg, "solver")
+    with _reading("solver settings"):
         return SolverSettings(
-            newton_tol=float(doc.get("newton_tol", 1e-10)),
-            max_iters=int(doc.get("max_iters", 50)),
+            newton_tol=_field(doc, "newton_tol", float, 1e-10, "solver"),
+            max_iters=_field(doc, "max_iters", int, 50, "solver"),
             predictor=doc.get("predictor", "linear-extrapolation"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver settings: {exc}") from None
 
 
 def _descent_settings(cfg: dict) -> DescentSettings:
-    doc = cfg.get("descent", {})
-    if not isinstance(doc, dict):
-        raise ConfigError("'descent' must be an object")
-    try:
+    doc = _section(cfg, "descent")
+    with _reading("descent settings"):
         return DescentSettings(
-            alpha=float(doc.get("alpha", 0.4)),
-            beta=float(doc.get("beta", 0.4)),
-            max_iters=int(doc.get("max_iters", 100)),
-            grad_tol=float(doc.get("grad_tol", 1e-3)),
-            initial_step=float(doc.get("initial_step", 1.0)),
-            max_backtracks=int(doc.get("max_backtracks", 40)),
+            alpha=_field(doc, "alpha", float, 0.4, "descent"),
+            beta=_field(doc, "beta", float, 0.4, "descent"),
+            max_iters=_field(doc, "max_iters", int, 100, "descent"),
+            grad_tol=_field(doc, "grad_tol", float, 1e-3, "descent"),
+            initial_step=_field(doc, "initial_step", float, 1.0, "descent"),
+            max_backtracks=_field(doc, "max_backtracks", int, 40, "descent"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid descent settings: {exc}") from None
 
 
 def _rho_values(cfg: dict, model, key: str) -> np.ndarray:
-    if key not in cfg:
-        if model.n_rho == 0:
-            return np.zeros(0)
-        raise ConfigError(f"config is missing required field '{key}'")
-    rho = np.asarray(cfg[key], dtype=float)
+    if key not in cfg and model.n_rho == 0:
+        return np.zeros(0)
+    rho = _field(cfg, key, lambda v: np.asarray(v, dtype=float))
     if rho.shape != (model.n_rho,):
         raise ConfigError(f"'{key}' must have length {model.n_rho}")
     return rho
@@ -249,18 +281,19 @@ def _rho_values(cfg: dict, model, key: str) -> np.ndarray:
 
 def _effective_seed(cfg: dict, args) -> int:
     if args.seed is not None:
-        return int(args.seed)
-    noise = cfg.get("noise", {})
-    if isinstance(noise, dict) and "seed" in noise:
-        return int(noise["seed"])
-    return 0
+        seed = args.seed
+    else:
+        seed = _field(_section(cfg, "noise"), "seed", int, 0, "noise")
+    if seed < 0:
+        raise ConfigError(f"the noise seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _output_dir(cfg: dict, args) -> str:
     if args.out is not None:
         out = args.out
     else:
-        out = _resolve(cfg, cfg.get("output_dir", "out"))
+        out = _field(cfg, "output_dir", lambda p: _resolve(cfg, p), "out")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -300,6 +333,20 @@ def _write_manifest(out_dir, command, cfg, seed, artifacts, timings) -> None:
     os.replace(tmp, path)
 
 
+def _playback_model(model, cfg: dict, grid: TimeGrid, actuated):
+    """``(model, torques)``: the model driven by open-loop playback of the
+    configured excitation on the actuated joints, and the sampled drive;
+    ``(model, None)`` when nothing is actuated.  Identification later
+    replays the identical interpolant with feedback switched on."""
+    if actuated is None:
+        return model, None
+    torques = _excitation_series(cfg, grid, actuated)
+    force = FeedbackForce(
+        grid, model.n_q, actuated, torques, np.zeros_like(torques), gain=0.0
+    )
+    return ForcedModel(model, force), torques
+
+
 def _dump_linearization(model, traj, rho, path) -> None:
     sens = linearize_trajectory(model, traj, rho)
     doc = {
@@ -334,18 +381,12 @@ def cmd_generate(args) -> int:
     actuated = _actuated(model, cfg)
     out_dir = _output_dir(cfg, args)
     seed = _effective_seed(cfg, args)
+    noise = _section(cfg, "noise")
+    obs_std = _field(noise, "observation_std", _nonnegative, 0.0, "noise")
+    coord_std = _field(noise, "coordinate_std", _nonnegative, 0.0, "noise")
+    torque_std = _field(noise, "torque_std", _nonnegative, 0.0, "noise")
+    sim_model, torques = _playback_model(model, cfg, grid, actuated)
 
-    force = None
-    torques = None
-    if actuated is not None:
-        torques = _excitation_series(cfg, grid, actuated)
-        # open-loop playback of the sampled drive; identification later
-        # replays the identical interpolant with feedback switched on
-        force = FeedbackForce(
-            grid, model.n_q, actuated, torques, np.zeros_like(torques), gain=0.0
-        )
-
-    sim_model = model if force is None else ForcedModel(model, force)
     t_sim = time.perf_counter()
     traj = simulate(sim_model, q0, v0, rho, grid, solver)
     sim_seconds = time.perf_counter() - t_sim
@@ -353,13 +394,6 @@ def cmd_generate(args) -> int:
     times = grid.times()
     q_all = traj.q_array()
     observations = np.stack([observation.value(s.q) for s in traj.states])
-
-    noise = cfg.get("noise", {})
-    if not isinstance(noise, dict):
-        raise ConfigError("'noise' must be an object")
-    obs_std = float(noise.get("observation_std", 0.0))
-    coord_std = float(noise.get("coordinate_std", 0.0))
-    torque_std = float(noise.get("torque_std", 0.0))
     rng = np.random.default_rng(seed)
 
     artifacts = ["trajectory.csv", "trajectory.json", "observations.csv",
@@ -423,14 +457,7 @@ def cmd_simulate(args) -> int:
     actuated = _actuated(model, cfg)
     out_dir = _output_dir(cfg, args)
     seed = _effective_seed(cfg, args)
-
-    sim_model = model
-    if actuated is not None:
-        torques = _excitation_series(cfg, grid, actuated)
-        force = FeedbackForce(
-            grid, model.n_q, actuated, torques, np.zeros_like(torques), gain=0.0
-        )
-        sim_model = ForcedModel(model, force)
+    sim_model, _ = _playback_model(model, cfg, grid, actuated)
 
     t_sim = time.perf_counter()
     traj = simulate(sim_model, q0, v0, rho, grid, solver)
@@ -479,11 +506,13 @@ def cmd_check(args) -> int:
         rho = _rho_values(cfg, model, key)
     else:
         rho = np.ones(model.n_rho)
-    check_doc = cfg.get("check", {})
-    if not isinstance(check_doc, dict):
-        raise ConfigError("'check' must be an object")
-    points = int(check_doc.get("points", 5))
-    dt = float(check_doc.get("dt", cfg.get("grid", {}).get("dt", 0.01)))
+    check_doc = _section(cfg, "check")
+    points = _field(check_doc, "points", int, 5, "check")
+    if not 1 <= points <= _MAX_CHECK_POINTS:
+        raise ConfigError(f"check.points must lie in [1, {_MAX_CHECK_POINTS}]")
+    dt = _field(check_doc, "dt", float, _section(cfg, "grid").get("dt", 0.01), "check")
+    if not dt > 0.0:
+        raise ConfigError("check.dt must be positive")
     seed = _effective_seed(cfg, args)
 
     results = run_derivative_checks(
@@ -518,46 +547,48 @@ def cmd_identify(args) -> int:
     seed = _effective_seed(cfg, args)
 
     rho_init = _rho_values(cfg, model, "rho_initial")
-    floor = float(cfg.get("parameter_floor", 1e-6))
+    floor = _field(cfg, "parameter_floor", float, 1e-6)
     if np.any(rho_init < floor):
         raise ConfigError(
             f"rho_initial must be >= parameter_floor ({floor:g}) in every entry"
         )
     rho0 = ParameterVector.positive(rho_init, floor)
+    terminal_weight = _field(cfg, "terminal_weight", float, 1.0)
+    if actuated is not None:
+        gain = _field(cfg, "gain", lambda v: _vector(v, actuated.size), 0.0)
+        if np.any(gain < 0.0):
+            raise ConfigError("gain must be nonnegative")
 
-    data = cfg.get("data", {})
-    if not isinstance(data, dict):
-        raise ConfigError("'data' must be an object")
+    data = _section(cfg, "data")
     # measured files default to the effective output directory, so a
     # generate/identify pair shares one config without extra plumbing
-    data_dir = out_dir if "dir" not in data else _resolve(cfg, data["dir"])
+    data_dir = out_dir
+    if "dir" in data:
+        data_dir = _field(data, "dir", lambda p: _resolve(cfg, p), section="data")
+    paths = {
+        key: _field(data, key, lambda p: os.path.join(data_dir, p), f"{key}.csv", "data")
+        for key in ("observations", "torques", "coordinates")
+    }
 
-    def data_path(key, default):
-        return os.path.join(data_dir, data.get(key, default))
-
-    measured = ingest_series(data_path("observations", "observations.csv"), grid)
+    measured = ingest_series(paths["observations"], grid)
     if measured.shape[1] != observation.dim:
         raise IngestionError(
             f"observation file has {measured.shape[1]} channels, "
             f"the configured observation has {observation.dim}"
         )
     spec = CostSpec(
-        observation=observation,
-        measured=measured,
-        terminal_weight=float(cfg.get("terminal_weight", 1.0)),
+        observation=observation, measured=measured, terminal_weight=terminal_weight
     )
 
     force = None
     if actuated is not None:
-        torques = ingest_series(data_path("torques", "torques.csv"), grid)
-        coords = ingest_series(data_path("coordinates", "coordinates.csv"), grid)
+        torques = ingest_series(paths["torques"], grid)
+        coords = ingest_series(paths["coordinates"], grid)
         if torques.shape[1] != actuated.size or coords.shape[1] != actuated.size:
             raise IngestionError(
                 "torque/coordinate files must have one column per actuated joint"
             )
-        force = FeedbackForce(
-            grid, model.n_q, actuated, torques, coords, cfg.get("gain", 0.0)
-        )
+        force = FeedbackForce(grid, model.n_q, actuated, torques, coords, gain)
 
     times = grid.times()
     obs_names = _series_names("y", range(observation.dim))

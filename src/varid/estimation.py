@@ -25,7 +25,6 @@ terminated instead of raising.
 
 from __future__ import annotations
 
-import csv
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -35,7 +34,7 @@ import numpy as np
 from .errors import IngestionError, SolverError
 from .model import ForcedModel, GeneralizedForce, MechanicalModel
 from .linearization import StepSensitivity, linearize_trajectory
-from .integrator import SolverSettings, simulate
+from .integrator import SolverSettings, _read_csv, simulate
 from .models import ChainModel, forward_kinematics, forward_kinematics_jacobian
 from .types import ParameterVector, TimeGrid, Trajectory
 
@@ -50,7 +49,6 @@ __all__ = [
     "IdentificationResult",
     "identify",
     "FeedbackForce",
-    "feedback_force",
     "read_series_csv",
     "write_series_csv",
     "ingest_series",
@@ -405,16 +403,6 @@ class FeedbackForce(GeneralizedForce):
         return fq, np.zeros((self.n_q, self.n_q))
 
 
-def feedback_force(
-    grid: TimeGrid, n_q: int, actuated, torques, coords, gain
-) -> FeedbackForce:
-    """Convenience constructor for :class:`FeedbackForce`.
-
-    Setting ``gain`` to zero gives pure open-loop torque playback.
-    """
-    return FeedbackForce(grid, n_q, actuated, torques, coords, gain)
-
-
 # -- measured-data files -------------------------------------------------------
 
 
@@ -432,34 +420,15 @@ def write_series_csv(path, times, values, names) -> None:
 
 
 def read_series_csv(path):
-    """Read a ``t,<names...>`` file; returns ``(times, values, names)``."""
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"empty series file: {path}") from None
-        if not header or header[0] != "t":
-            raise IngestionError(f"series file must start with a 't' column: {path}")
-        names = header[1:]
-        if not names:
-            raise IngestionError(f"series file has no value columns: {path}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{line_no}: {exc}") from None
-    data = np.asarray(rows, dtype=float)
-    if data.size == 0:
-        raise IngestionError(f"series file has no data rows: {path}")
-    return data[:, 0], data[:, 1:], names
+    """Read a ``t,<names...>`` file; returns ``(times, values, names)``.
+    Every cell must be a finite number.
+    """
+    header, data = _read_csv(path, "series")
+    if header[0] != "t":
+        raise IngestionError(f"series file must start with a 't' column: {path}")
+    if len(header) == 1:
+        raise IngestionError(f"series file has no value columns: {path}")
+    return data[:, 0], data[:, 1:], header[1:]
 
 
 def ingest_series(path, grid: TimeGrid) -> np.ndarray:

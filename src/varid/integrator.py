@@ -7,7 +7,7 @@ Each step advances ``(q_k, p_k)`` to ``(q_{k+1}, p_{k+1})`` by solving
 
 for ``(q_{k+1}, lam_k)`` with Newton's method, then evaluating
 
-    p_{k+1} = d2_ld(q_k, q_{k+1}) + f_plus(q_k, q_{k+1}).
+    p_{k+1} = d2_ld(q_k, q_{k+1}).
 
 The constraint force acts through the Jacobian at the current
 configuration while the constraint itself is enforced at the new one;
@@ -17,24 +17,26 @@ Newton matrix is the saddle system
     [ d12_ld + d2_f_minus   -Dh(q_k)^T ]
     [ Dh(q_{k+1})                0     ]
 
-whose conditioning is monitored every factorization; a reciprocal
-condition estimate below 1e-12 aborts the step with a diagnosis of
-which block degenerated.
+which one helper assembles and factors for both the Newton step and the
+step linearization.  Its conditioning is checked at every
+factorization; a reciprocal condition estimate below 1e-12 aborts with a
+diagnosis of which block degenerated.
 """
 
 from __future__ import annotations
 
+import csv
 import json
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg import lapack as _lapack
 
 from .errors import (
     InfeasibleStartError,
+    IngestionError,
     NewtonConvergenceError,
     SingularKKTError,
 )
@@ -92,11 +94,10 @@ class StepResult:
     residual: float
 
 
-def _classify_singular(model, m_block, q_next, rho):
-    if model.n_h > 0:
-        dh = model.constraint_jacobian(q_next, rho)
-        if np.linalg.matrix_rank(dh) < model.n_h:
-            return "constraint-rank"
+def _classify_singular(m_block, dh1):
+    n_h = dh1.shape[0]
+    if n_h and np.linalg.matrix_rank(dh1) < n_h:
+        return "constraint-rank"
     with np.errstate(all="ignore"):
         cond = np.linalg.cond(m_block)
     if not np.isfinite(cond) or cond > 1.0 / _RCOND_FLOOR:
@@ -104,17 +105,34 @@ def _classify_singular(model, m_block, q_next, rho):
     return "unknown"
 
 
-def _factor(kkt, model, m_block, q_next, rho, step_index):
-    """LU-factor the Newton matrix, aborting on near-singularity."""
-    anorm = np.linalg.norm(kkt, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(kkt, check_finite=False)
-    rcond, info = _lapack.dgecon(lu, anorm)
+def _solve_saddle(m_block, dh0, dh1, rhs, step_index=None):
+    """Solve the step's saddle system ``K x = rhs`` with
+
+        K = [ m_block  -dh0^T ]
+            [ dh1         0   ]
+
+    by one LU factorization.  ``dh0`` and ``dh1`` are the constraint
+    Jacobians at the interval's start and end, ``(0, n_q)`` arrays for
+    unconstrained models.  ``rhs`` may hold one column or several.
+    Raises :class:`SingularKKTError` when the reciprocal condition
+    estimate of ``K`` falls below 1e-12.
+    """
+    n, n_h = m_block.shape[0], dh1.shape[0]
+    if n_h:
+        kkt = np.zeros((n + n_h, n + n_h))
+        kkt[:n, :n] = m_block
+        kkt[:n, n:] = -dh0.T
+        kkt[n:, :n] = dh1
+    else:
+        kkt = m_block
+    # an exactly zero pivot needs no check of its own: it gives rcond 0
+    lu, piv, _ = _lapack.dgetrf(kkt)
+    rcond, info = _lapack.dgecon(lu, np.linalg.norm(kkt, 1))
     if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
-        kind = _classify_singular(model, m_block, q_next, rho)
+        kind = _classify_singular(m_block, dh1)
         raise SingularKKTError(kind, float(rcond), step_index)
-    return lu, piv
+    x, _ = _lapack.dgetrs(lu, piv, rhs)
+    return x
 
 
 def step(
@@ -144,42 +162,31 @@ def step(
         if state.lam.size == n_h
         else np.zeros(n_h)
     )
-    dh0_t = model.constraint_jacobian(q0, rho).T if n_h else None
+    dh0 = model.constraint_jacobian(q0, rho)
 
     iters = 0
     for attempt in range(settings.max_iters + 1):
         sd = slot_derivatives(model, q0, q1, rho, t_k, dt)
-        r1 = p0 + sd.d1_ld + sd.f_minus
-        if n_h:
-            r1 = r1 - dh0_t @ lam
-            h1 = model.constraint(q1, rho)
-            res = max(np.max(np.abs(r1)), np.max(np.abs(h1)))
-        else:
-            res = np.max(np.abs(r1))
+        residual = np.concatenate(
+            [p0 + sd.d1_ld + sd.f_minus - dh0.T @ lam, model.constraint(q1, rho)]
+        )
+        res = np.max(np.abs(residual))
         if not np.isfinite(res):
             raise NewtonConvergenceError(iters, float(res), step_index)
         if res <= settings.newton_tol:
-            p1 = sd.d2_ld + sd.f_plus
-            nxt = DiscreteState(q1, p1, lam if n_h else np.zeros(0))
+            nxt = DiscreteState(q1, sd.d2_ld, lam)
             return StepResult(next=nxt, newton_iters=iters, residual=float(res))
         if attempt == settings.max_iters:
             break
-        m_block = sd.newton_matrix
-        if n_h:
-            dh1 = model.constraint_jacobian(q1, rho)
-            kkt = np.zeros((n + n_h, n + n_h))
-            kkt[:n, :n] = m_block
-            kkt[:n, n:] = -dh0_t
-            kkt[n:, :n] = dh1
-            rhs = np.concatenate([r1, h1])
-        else:
-            kkt = m_block
-            rhs = r1
-        lu_piv = _factor(kkt, model, m_block, q1, rho, step_index)
-        delta = lu_solve(lu_piv, -rhs, check_finite=False)
+        delta = _solve_saddle(
+            sd.newton_matrix,
+            dh0,
+            model.constraint_jacobian(q1, rho),
+            -residual,
+            step_index,
+        )
         q1 = q1 + delta[:n]
-        if n_h:
-            lam = lam + delta[n:]
+        lam = lam + delta[n:]
         iters += 1
 
     raise NewtonConvergenceError(iters, float(res), step_index)
@@ -237,7 +244,7 @@ def simulate(
                 f"initial configuration violates the constraint "
                 f"(|h| = {np.max(np.abs(h0)):.3e}); project it first"
             )
-    _, p0 = model.lagrangian_gradients(q0, v0, rho)
+    p0 = model.lagrangian_derivatives(q0, v0, rho).v_grad
     state0 = DiscreteState(q0, p0, np.zeros(model.n_h))
     return rollout(model, state0, rho, grid, settings)
 
@@ -350,28 +357,54 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             fh.write(",".join(vals) + "\n")
 
 
+def _read_csv(path, kind: str):
+    """Header and float rows of a CSV file of ``kind`` ("series",
+    "trajectory"); an empty file or a short, non-numeric or non-finite
+    row raises :class:`IngestionError` naming ``file:line``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise IngestionError(f"empty {kind} file: {path}")
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise IngestionError(
+                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
+                )
+            try:
+                values = [float(x) for x in row]
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{line_no}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise IngestionError(f"{path}:{line_no}: non-finite value")
+            rows.append(values)
+    if not rows:
+        raise IngestionError(f"{kind} file has no data rows: {path}")
+    return header, np.asarray(rows)
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Inverse of :func:`write_trajectory_csv`."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+    header, data = _read_csv(path, "trajectory")
     n = sum(c.startswith("q_") for c in header)
     n_h = sum(c.startswith("lambda_") for c in header)
-    if n == 0 or header[:2] != ["k", "t"]:
-        raise ValueError(f"not a trajectory file: {path}")
-    data = np.array([[float(x) for x in row] for row in rows])
+    if n == 0 or header[:2] != ["k", "t"] or len(header) != 2 + 2 * n + n_h:
+        raise IngestionError(f"not a trajectory file: {path}")
+    steps = len(data) - 1
+    if steps < 1:
+        raise IngestionError(f"{path}: a trajectory needs at least two samples")
     t = data[:, 1]
-    steps = len(rows) - 1
     dt = (t[-1] - t[0]) / steps
+    if not dt > 0.0 or np.max(np.abs(t[0] + dt * np.arange(steps + 1) - t)) > 1e-9:
+        raise IngestionError(f"{path}: trajectory times are not uniformly increasing")
     grid = TimeGrid(t0=t[0], dt=dt, steps=steps)
-    if np.max(np.abs(grid.times() - t)) > 1e-9:
-        raise ValueError("trajectory times are not uniformly spaced")
-    states = []
-    for k in range(steps + 1):
-        q = data[k, 2 : 2 + n]
-        p = data[k, 2 + n : 2 + 2 * n]
-        lam = data[k, 2 + 2 * n : 2 + 2 * n + n_h]
-        states.append(DiscreteState(q, p, lam))
+    states = [
+        DiscreteState(row[2 : 2 + n], row[2 + n : 2 + 2 * n], row[2 + 2 * n :])
+        for row in data
+    ]
     return Trajectory(grid=grid, states=tuple(states))
 
 

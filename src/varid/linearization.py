@@ -6,30 +6,27 @@ At a converged step the pair ``(q_{k+1}, lam_k)`` satisfies
     R2 = h(q_{k+1}) = 0.
 
 Differentiating this system once and factoring its Newton matrix a
-single time yields every sensitivity block with one multi-column
-back-solve: the response of ``(q_{k+1}, lam_k)`` to ``q_k``, ``p_k``,
-and the parameters.  The momentum rows then follow from the explicit
-update ``p_{k+1} = d2_ld + f_plus``.
+single time (with the stepper's own saddle-system solve) yields every
+sensitivity block with one multi-column back-solve: the response of
+``(q_{k+1}, lam_k)`` to ``q_k``, ``p_k``, and the parameters.  The
+momentum rows then follow from the explicit update ``p_{k+1} = d2_ld``.
 
-Parameter sensitivities come in two flavors.  With ``dx_drho=None`` the
-``B`` block is the partial derivative of the single step with its start
-state held fixed; this is what the backward adjoint sweep consumes.
-Passing the accumulated state sensitivity of the start sample threads
-the chain rule forward, so ``B`` becomes the total derivative of the
-trajectory sample with respect to the parameters.
+The ``B`` block is the partial derivative of the single step with its
+start state held fixed; this is what the backward adjoint sweep
+consumes.  :func:`accumulate_param_sensitivity` chains the partials
+forward into total trajectory sensitivities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
+from .integrator import _solve_saddle
 from .model import MechanicalModel, slot_derivatives
-from .types import DiscreteState, LinearizationPair, Trajectory
-from .integrator import StepResult
+from .types import DiscreteState, Trajectory
 
 __all__ = [
     "StepSensitivity",
@@ -57,105 +54,69 @@ class StepSensitivity:
     dlambda_dp: np.ndarray
     dlambda_drho: np.ndarray
 
-    def as_pair(self) -> LinearizationPair:
-        return LinearizationPair(A=self.A, B=self.B, step_index=self.step_index)
-
 
 def linearize_step(
     model: MechanicalModel,
     state: DiscreteState,
-    result: StepResult,
+    next_state: DiscreteState,
     rho,
     t_k: float,
     dt: float,
-    dx_drho: Optional[np.ndarray] = None,
     step_index: int = 0,
 ) -> StepSensitivity:
-    """Sensitivities of the step that took ``state`` to ``result.next``.
+    """Sensitivities of the converged step that took ``state`` to
+    ``next_state``, with the per-step partial parameter block ``B``.
 
-    ``dx_drho``, when given, is the ``(2 n_q, n_rho)`` accumulated
-    parameter sensitivity of the start sample; omit it (start sample
-    independent of the parameters) to get the per-step partial ``B``.
+    Raises :class:`SingularKKTError` when the step's Newton matrix is
+    singular or nearly so, as :func:`varid.integrator.step` does.
     """
     rho = np.asarray(rho, dtype=float)
     n, n_h, n_rho = model.n_q, model.n_h, model.n_rho
-    q0, q1, lam = state.q, result.next.q, result.next.lam
+    q0, q1, lam = state.q, next_state.q, next_state.lam
 
     sd = slot_derivatives(model, q0, q1, rho, t_k, dt)
-    m_block = sd.newton_matrix
 
     # residual derivatives with respect to the start configuration
     r1_q = sd.d11_ld + sd.d1_f_minus
     if n_h:
         ddh0 = model.constraint_hessian(q0, rho)
         r1_q = r1_q - np.einsum("c,cij->ij", lam, ddh0)
-    # ... and with respect to the parameters (explicit part)
-    r1_rho = sd.d3d1_ld + sd.d3_f_minus
-    if n_h:
-        dh_drho0 = model.constraint_jacobian_param(q0, rho)
-        r1_rho = r1_rho - np.einsum("c,cim->im", lam, dh_drho0)
-        r2_rho = model.constraint_param(q1, rho)
 
-    if n_h:
-        dh0_t = model.constraint_jacobian(q0, rho).T
-        dh1 = model.constraint_jacobian(q1, rho)
-        kkt = np.zeros((n + n_h, n + n_h))
-        kkt[:n, :n] = m_block
-        kkt[:n, n:] = -dh0_t
-        kkt[n:, :n] = dh1
-        rhs = np.zeros((n + n_h, 2 * n + n_rho))
-        rhs[:n, :n] = -r1_q
-        rhs[:n, n : 2 * n] = -np.eye(n)
-        rhs[:n, 2 * n :] = -r1_rho
-        rhs[n:, 2 * n :] = -r2_rho
-    else:
-        kkt = m_block
-        rhs = np.zeros((n, 2 * n + n_rho))
-        rhs[:, :n] = -r1_q
-        rhs[:, n : 2 * n] = -np.eye(n)
-        rhs[:, 2 * n :] = -r1_rho
-
-    sol = lu_solve(lu_factor(kkt, check_finite=False), rhs, check_finite=False)
-    dq1 = sol[:n]
-    dlam = sol[n:]
-
-    dq1_dq = dq1[:, :n]
-    dq1_dp = dq1[:, n : 2 * n]
-    dq1_drho = dq1[:, 2 * n :]
+    # columns: start configuration, start momentum, parameters; the
+    # constraint rows have no explicit dependence on any of them
+    rhs = np.zeros((n + n_h, 2 * n + n_rho))
+    rhs[:n, :n] = -r1_q
+    rhs[:n, n : 2 * n] = -np.eye(n)
+    rhs[:n, 2 * n :] = -(sd.d3d1_ld + sd.d3_f_minus)
+    sol = _solve_saddle(
+        sd.newton_matrix,
+        model.constraint_jacobian(q0, rho),
+        model.constraint_jacobian(q1, rho),
+        rhs,
+        step_index,
+    )
+    dq1_dq = sol[:n, :n]
+    dq1_dp = sol[:n, n : 2 * n]
+    dq1_drho = sol[:n, 2 * n :]
 
     # momentum rows from the explicit update
-    n_block = sd.d22_ld + sd.d2_f_plus
-    p_cross = sd.d21_ld + sd.d1_f_plus
     a = np.zeros((2 * n, 2 * n))
     a[:n, :n] = dq1_dq
     a[:n, n:] = dq1_dp
-    a[n:, :n] = n_block @ dq1_dq + p_cross
-    a[n:, n:] = n_block @ dq1_dp
+    a[n:, :n] = sd.d22_ld @ dq1_dq + sd.d21_ld
+    a[n:, n:] = sd.d22_ld @ dq1_dp
 
     b = np.zeros((2 * n, n_rho))
     b[:n] = dq1_drho
-    b[n:] = n_block @ dq1_drho + sd.d3d2_ld + sd.d3_f_plus
-
-    dlam_dq = dlam[:, :n]
-    dlam_dp = dlam[:, n : 2 * n]
-    dlam_drho = dlam[:, 2 * n :]
-
-    if dx_drho is not None:
-        dx_drho = np.asarray(dx_drho, dtype=float)
-        if dx_drho.shape != (2 * n, n_rho):
-            raise ValueError(
-                f"dx_drho must have shape {(2 * n, n_rho)}, got {dx_drho.shape}"
-            )
-        b = b + a @ dx_drho
-        dlam_drho = dlam_drho + dlam_dq @ dx_drho[:n] + dlam_dp @ dx_drho[n:]
+    b[n:] = sd.d22_ld @ dq1_drho + sd.d3d2_ld
 
     return StepSensitivity(
         A=a,
         B=b,
         step_index=step_index,
-        dlambda_dq=dlam_dq,
-        dlambda_dp=dlam_dp,
-        dlambda_drho=dlam_drho,
+        dlambda_dq=sol[n:, :n],
+        dlambda_dp=sol[n:, n : 2 * n],
+        dlambda_drho=sol[n:, 2 * n :],
     )
 
 
@@ -168,24 +129,18 @@ def linearize_trajectory(
     chaining); use :func:`accumulate_param_sensitivity` to thread the
     chain rule when total trajectory sensitivities are wanted.
     """
-    out = []
-    dt = traj.grid.dt
-    for k in range(traj.grid.steps):
-        result = StepResult(
-            next=traj.states[k + 1], newton_iters=0, residual=float("nan")
+    return [
+        linearize_step(
+            model,
+            traj.states[k],
+            traj.states[k + 1],
+            rho,
+            traj.grid.t(k),
+            traj.grid.dt,
+            step_index=k,
         )
-        out.append(
-            linearize_step(
-                model,
-                traj.states[k],
-                result,
-                rho,
-                traj.grid.t(k),
-                dt,
-                step_index=k,
-            )
-        )
-    return out
+        for k in range(traj.grid.steps)
+    ]
 
 
 def accumulate_param_sensitivity(sens: Sequence[StepSensitivity]) -> np.ndarray:

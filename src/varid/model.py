@@ -6,15 +6,18 @@ constrained Lagrangian system:
 * the Lagrangian ``L(q, v, rho)`` with gradients, Hessian blocks, and
   parameter cross-derivatives,
 * a generalized force ``F(q, v, rho, t)`` with Jacobians,
-* a constraint map ``h(q, rho)`` with first and second derivatives.
+* a constraint map ``h(q)`` with first and second derivatives; it does
+  not depend on the parameters, though its methods take ``rho`` too.
 
 This module turns those ingredients into the discrete quantities the
 implicit stepper and its linearization consume.  The quadrature is the
 midpoint rule: with ``qm = (q0 + q1)/2`` and ``vm = (q1 - q0)/dt``,
 
     Ld(q0, q1, rho)  = dt * L(qm, vm, rho)
-    F-(q0, q1, ...)  = dt * F(qm, vm, rho, t + dt/2)
-    F+(q0, q1, ...)  = 0
+    f_minus(q0, q1)  = dt * F(qm, vm, rho, t + dt/2)
+
+The whole interval force enters the stepping equation as ``f_minus``;
+the momentum update carries no force term.
 
 Slot derivatives (derivatives with respect to the first argument, the
 second argument, or the parameters) follow by the chain rule through
@@ -69,7 +72,7 @@ class MechanicalModel(ABC):
 
     Subclasses must provide sizes and the Lagrangian bundle; the force
     and constraint families default to "absent" (zero force, no
-    constraints, no parameter coupling) so simple models stay short.
+    constraints) so simple models stay short.
     """
 
     @property
@@ -104,18 +107,6 @@ class MechanicalModel(ABC):
     def lagrangian_derivatives(self, q, v, rho) -> LagrangianBundle:
         """Value, gradients, Hessian blocks, parameter cross-derivatives."""
 
-    def lagrangian_gradients(self, q, v, rho):
-        b = self.lagrangian_derivatives(q, v, rho)
-        return b.q_grad, b.v_grad
-
-    def lagrangian_hessians(self, q, v, rho):
-        b = self.lagrangian_derivatives(q, v, rho)
-        return b.qq, b.qv, b.vv
-
-    def lagrangian_param_derivatives(self, q, v, rho):
-        b = self.lagrangian_derivatives(q, v, rho)
-        return b.q_rho, b.v_rho
-
     # -- generalized force ---------------------------------------------
 
     def force(self, q, v, rho, t) -> np.ndarray:
@@ -137,17 +128,6 @@ class MechanicalModel(ABC):
     def constraint_hessian(self, q, rho) -> np.ndarray:
         """Second derivative, shape ``(n_h, n_q, n_q)``."""
         return np.zeros((0, self.n_q, self.n_q))
-
-    def constraint_param(self, q, rho) -> np.ndarray:
-        """Parameter derivative of ``h``, shape ``(n_h, n_rho)``."""
-        return np.zeros((self.n_h, self.n_rho))
-
-    def constraint_jacobian_param(self, q, rho) -> np.ndarray:
-        """Parameter derivative of the constraint Jacobian,
-        shape ``(n_h, n_q, n_rho)``.  Zero for all bundled models; the
-        hook exists so constraint geometry could itself be identified.
-        """
-        return np.zeros((self.n_h, self.n_q, self.n_rho))
 
 
 class GeneralizedForce(ABC):
@@ -216,23 +196,14 @@ class ForcedModel(MechanicalModel):
     def constraint_hessian(self, q, rho):
         return self.base.constraint_hessian(q, rho)
 
-    def constraint_param(self, q, rho):
-        return self.base.constraint_param(q, rho)
-
-    def constraint_jacobian_param(self, q, rho):
-        return self.base.constraint_jacobian_param(q, rho)
-
 
 @dataclass(frozen=True)
 class DiscreteSlotDerivatives:
-    """Slot derivatives of the discrete Lagrangian and discrete forces
+    """Slot derivatives of the discrete Lagrangian and the discrete force
     for one interval ``(q0, q1)``.
 
     Naming: ``d1``/``d2`` differentiate with respect to the first/second
-    configuration slot, ``d3`` with respect to parameters.  ``f_minus``
-    and ``f_plus`` are the two discrete force legs; only the minus leg is
-    nonzero under midpoint quadrature, but both are carried so the
-    stepping and sensitivity formulas can be written in full.
+    configuration slot, ``d3`` with respect to parameters.
     """
 
     d1_ld: np.ndarray
@@ -243,13 +214,9 @@ class DiscreteSlotDerivatives:
     d3d1_ld: np.ndarray
     d3d2_ld: np.ndarray
     f_minus: np.ndarray
-    f_plus: np.ndarray
     d1_f_minus: np.ndarray
     d2_f_minus: np.ndarray
     d3_f_minus: np.ndarray
-    d1_f_plus: np.ndarray
-    d2_f_plus: np.ndarray
-    d3_f_plus: np.ndarray
 
     @property
     def d21_ld(self) -> np.ndarray:
@@ -277,20 +244,15 @@ def discrete_lagrangian(model: MechanicalModel, q0, q1, rho, dt: float) -> float
 
 
 def discrete_force_minus(model: MechanicalModel, q0, q1, rho, t: float, dt: float) -> np.ndarray:
-    """Minus leg of the discrete force pair (midpoint quadrature)."""
+    """Discrete force of one interval (midpoint quadrature)."""
     qm, vm = _midpoint(q0, q1, dt)
     return dt * model.force(qm, vm, np.asarray(rho, dtype=float), t + 0.5 * dt)
-
-
-def discrete_force_plus(model: MechanicalModel, q0, q1, rho, t: float, dt: float) -> np.ndarray:
-    """Plus leg of the discrete force pair; zero under midpoint quadrature."""
-    return np.zeros(model.n_q)
 
 
 def slot_derivatives(
     model: MechanicalModel, q0, q1, rho, t: float, dt: float
 ) -> DiscreteSlotDerivatives:
-    """All slot derivatives of ``Ld`` and the discrete forces on one interval.
+    """All slot derivatives of ``Ld`` and the discrete force on one interval.
 
     ``t`` is the time of the interval's left endpoint.  The closed forms
     follow from differentiating the midpoint map ``(q0, q1) -> (qm, vm)``:
@@ -326,10 +288,6 @@ def slot_derivatives(
     d2_f_minus = half_dt * fq + fv
     d3_f_minus = dt * frho
 
-    n, m = model.n_q, model.n_rho
-    zero_v = np.zeros(n)
-    zero_m = np.zeros((n, n))
-    zero_r = np.zeros((n, m))
     return DiscreteSlotDerivatives(
         d1_ld=d1_ld,
         d2_ld=d2_ld,
@@ -339,13 +297,9 @@ def slot_derivatives(
         d3d1_ld=d3d1_ld,
         d3d2_ld=d3d2_ld,
         f_minus=f_minus,
-        f_plus=zero_v,
         d1_f_minus=d1_f_minus,
         d2_f_minus=d2_f_minus,
         d3_f_minus=d3_f_minus,
-        d1_f_plus=zero_m,
-        d2_f_plus=zero_m,
-        d3_f_plus=zero_r,
     )
 
 

@@ -11,7 +11,6 @@ the estimator without defensive copying.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -20,9 +19,6 @@ __all__ = [
     "DiscreteState",
     "ParameterVector",
     "Trajectory",
-    "LinearizationPair",
-    "state_pack",
-    "state_unpack",
 ]
 
 
@@ -181,43 +177,3 @@ class Trajectory:
             if s.lam.size:
                 out[k] = s.lam
         return out
-
-
-@dataclass(frozen=True)
-class LinearizationPair:
-    """State-transition and parameter-sensitivity blocks of one step.
-
-    ``A`` maps a perturbation of ``(q_k, p_k)`` to ``(q_{k+1}, p_{k+1})``;
-    ``B`` maps a parameter perturbation the same way.  ``step_index`` is
-    the index ``k`` of the step's starting sample.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    step_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", _freeze(self.A))
-        object.__setattr__(self, "B", _freeze(self.B))
-        m = self.A.shape[0]
-        if self.A.shape != (m, m) or m % 2:
-            raise ValueError("A must be square with even dimension")
-        if self.B.shape[0] != m:
-            raise ValueError("B row count must match A")
-
-
-def state_pack(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Pack ``(q, p)`` into the flat state vector ``[q; p]``."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if q.shape != p.shape or q.ndim != 1:
-        raise ValueError("q and p must be one-dimensional with equal length")
-    return np.concatenate([q, p])
-
-
-def state_unpack(x: np.ndarray, n_q: int):
-    """Split a flat state vector back into ``(q, p)``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != 2 * n_q:
-        raise ValueError(f"state vector must have length {2 * n_q}")
-    return x[:n_q].copy(), x[n_q:].copy()

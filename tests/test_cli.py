@@ -278,6 +278,53 @@ def test_exit_codes_and_error_lines(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+MALFORMED_FIELDS = [
+    ("generate", "rho_true", "stiff"),
+    ("generate", "rho_true", ["stiff"]),
+    ("generate", "rho_true", [1.0, 2.0]),
+    ("generate", "noise.seed", "three"),
+    ("generate", "noise.seed", -1),
+    ("generate", "noise.observation_std", "small"),
+    ("generate", "noise.torque_std", -0.1),
+    ("generate", "actuated", "first"),
+    ("generate", "actuated", 0),
+    ("generate", "initial.v", [0.0, 0.0, 0.0]),
+    ("generate", "initial.q", ["up"]),
+    ("generate", "grid.dt", "fast"),
+    ("generate", "excitation.amplitude", [0.1, 0.2]),
+    ("generate", "observation.indices", 0),
+    ("generate", "solver.newton_tol", None),
+    ("generate", "output_dir", 7),
+    ("identify", "gain", "high"),
+    ("identify", "gain", -1.0),
+    ("identify", "parameter_floor", "low"),
+    ("identify", "terminal_weight", "heavy"),
+    ("identify", "descent.alpha", "half"),
+    ("identify", "data.dir", 7),
+    ("check", "check.points", "five"),
+    ("check", "check.points", 0),
+    ("check", "check.dt", -0.01),
+]
+
+
+@pytest.mark.parametrize("command,field,value", MALFORMED_FIELDS)
+def test_malformed_config_field_exits_2(tmp_path, capsys, command, field, value):
+    doc = _pendulum_config(steps=20, out=str(tmp_path / "out"))
+    *parents, leaf = field.split(".")
+    target = doc
+    for key in parents:
+        target = target.setdefault(key, {})
+    target[leaf] = value
+    cfg = _write_config(tmp_path / "c.json", doc)
+    assert cli.main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error code=config:")
+    assert leaf in lines[0]
+
+
 def test_identify_rejects_initial_below_floor(tmp_path, capsys):
     cfg = _pendulum_config(steps=50)
     cfg["rho_initial"] = [-2.0]

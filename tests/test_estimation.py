@@ -17,7 +17,6 @@ from varid import (
     TimeGrid,
     adjoint_gradient,
     cost,
-    feedback_force,
     forward_kinematics,
     identify,
     ingest_series,
@@ -408,7 +407,7 @@ def test_feedback_force_laws():
     grid = TimeGrid(t0=0.0, dt=0.1, steps=4)
     tau = np.arange(5.0).reshape(5, 1)
     b_ref = 0.5 * np.ones((5, 1))
-    f = feedback_force(grid, 3, [1], tau, b_ref, 2.0)
+    f = FeedbackForce(grid, 3, [1], tau, b_ref, 2.0)
 
     # exact tracking: force equals the measured torque
     out = f.value(np.array([9.0, 0.5, 9.0]), np.zeros(3), 0.2)
@@ -430,7 +429,7 @@ def test_feedback_force_laws():
 def test_zero_gain_ignores_coordinate_error():
     grid = TimeGrid(t0=0.0, dt=0.1, steps=2)
     tau = np.array([[1.0], [2.0], [3.0]])
-    f = feedback_force(grid, 2, [0], tau, np.zeros((3, 1)), 0.0)
+    f = FeedbackForce(grid, 2, [0], tau, np.zeros((3, 1)), 0.0)
     out = f.value(np.array([123.0, 0.0]), np.zeros(2), 0.1)
     assert out[0] == pytest.approx(2.0, abs=1e-14)
 
@@ -491,6 +490,11 @@ def test_read_series_rejects_malformed_files(tmp_path):
     p.write_text("t,a\n0,notanumber\n")
     with pytest.raises(IngestionError):
         read_series_csv(p)
+    # non-finite cells would turn the cost into NaN; each names file:line
+    for cell in ("nan", "inf", "-inf"):
+        p.write_text(f"t,a\n0,1\n0.01,{cell}\n")
+        with pytest.raises(IngestionError, match=r"bad\.csv:3"):
+            read_series_csv(p)
     p.write_text("t,a\n")
     with pytest.raises(IngestionError):
         read_series_csv(p)

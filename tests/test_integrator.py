@@ -9,6 +9,7 @@ from varid import (
     ChainModel,
     DiscreteState,
     InfeasibleStartError,
+    IngestionError,
     NewtonConvergenceError,
     PendulumModel,
     SingularKKTError,
@@ -241,6 +242,23 @@ def test_trajectory_csv_round_trip(tmp_path, loop6):
     assert np.array_equal(again.q_array(), traj.q_array())
     assert np.array_equal(again.p_array(), traj.p_array())
     assert np.array_equal(again.lambda_array(), traj.lambda_array())
+
+
+def test_read_trajectory_csv_rejects_malformed_files(tmp_path):
+    path = tmp_path / "traj.csv"
+    header = "k,t,q_0,p_0\n"
+    bad = {
+        "non-numeric cell": header + "0,0.0,0.1,0.2\n1,0.1,abc,0.2\n",
+        "wrong header": "step,time,q_0,p_0\n0,0.0,0.1,0.2\n1,0.1,0.1,0.2\n",
+        "non-uniform times": header + "0,0.0,0.1,0.2\n1,0.1,0.1,0.2\n2,0.3,0.1,0.2\n",
+    }
+    for text in bad.values():
+        path.write_text(text)
+        with pytest.raises(IngestionError):
+            read_trajectory_csv(path)
+    path.write_text(bad["non-numeric cell"])
+    with pytest.raises(IngestionError, match=r"traj\.csv:3"):
+        read_trajectory_csv(path)
 
 
 def test_trajectory_json_contents(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from varid import (
     DiscreteState,
     PendulumModel,
+    SingularKKTError,
     TimeGrid,
     accumulate_param_sensitivity,
     linearize_step,
@@ -13,17 +14,16 @@ from varid import (
     project_to_constraint,
     simulate,
     slot_derivatives,
-    state_pack,
     state_transition,
     step,
 )
 
-from conftest import TIGHT, FreeParticle
+from conftest import TIGHT, FreeParticle, RedundantConstraintModel
 
 
 def _solve_and_linearize(model, state, rho, t, dt):
     result = step(model, state, rho, t, dt, TIGHT)
-    sens = linearize_step(model, state, result, rho, t, dt)
+    sens = linearize_step(model, state, result.next, rho, t, dt)
     return result, sens
 
 
@@ -78,7 +78,7 @@ def test_transition_blocks_match_finite_differences(loop6):
             TIGHT,
             q_guess=result.next.q,
         )
-        return state_pack(r.next.q, r.next.p)
+        return np.concatenate([r.next.q, r.next.p])
 
     eps = 1e-6
     rng = np.random.default_rng(0)
@@ -112,8 +112,8 @@ def test_transition_blocks_on_constraint_tangent_directions(loop6):
         perturbed = DiscreteState(q0 - eps * row, state0.p, state0.lam)
         r_minus = step(loop6, perturbed, rho, 0.0, dt, TIGHT, q_guess=result.next.q)
         fd = (
-            state_pack(r_plus.next.q, r_plus.next.p)
-            - state_pack(r_minus.next.q, r_minus.next.p)
+            np.concatenate([r_plus.next.q, r_plus.next.p])
+            - np.concatenate([r_minus.next.q, r_minus.next.p])
         ) / (2.0 * eps)
         predicted = sens.A @ np.concatenate([row, np.zeros(6)])
         assert np.max(np.abs(predicted - fd)) < 1e-6
@@ -147,6 +147,7 @@ def test_accumulated_sensitivity_matches_end_to_end_fd():
 
     traj = simulate(model, q0, v0, rho, grid, TIGHT)
     sens = linearize_trajectory(model, traj, rho)
+    assert [s.step_index for s in sens] == list(range(30))
     z = accumulate_param_sensitivity(sens)
     assert z.shape == (31, 2, 1)
     assert np.array_equal(z[0], np.zeros((2, 1)))
@@ -156,31 +157,23 @@ def test_accumulated_sensitivity_matches_end_to_end_fd():
     t_m = simulate(model, q0, v0, rho - eps, grid, TIGHT)
     for k in (1, 10, 30):
         fd = (
-            state_pack(t_p.states[k].q, t_p.states[k].p)
-            - state_pack(t_m.states[k].q, t_m.states[k].p)
+            np.concatenate([t_p.states[k].q, t_p.states[k].p])
+            - np.concatenate([t_m.states[k].q, t_m.states[k].p])
         ) / (2.0 * eps)
         assert np.max(np.abs(z[k][:, 0] - fd)) < 1e-6
 
 
-def test_linearize_step_threads_prior_sensitivity(chain4):
-    rho = np.array([1.5, 0.7])
-    grid = TimeGrid(t0=0.0, dt=0.01, steps=5)
-    traj = simulate(chain4, [0.1, -0.1, 0.2, 0.0], np.zeros(4), rho, grid, TIGHT)
-    sens = linearize_trajectory(chain4, traj, rho)
-    z = accumulate_param_sensitivity(sens)
-
-    from varid import StepResult
-
-    k = 3
-    result = StepResult(next=traj.states[k + 1], newton_iters=0, residual=0.0)
-    total = linearize_step(
-        chain4, traj.states[k], result, rho, grid.t(k), 0.01, dx_drho=z[k], step_index=k
-    )
-    assert np.allclose(total.B, sens[k].A @ z[k] + sens[k].B, atol=1e-12)
-    assert np.allclose(total.B, z[k + 1], atol=1e-12)
-    # stateless partial when no prior sensitivity is given
-    assert total.step_index == k
-    assert sens[k].as_pair().step_index == k
+def test_redundant_constraint_is_diagnosed_not_linearized():
+    """A rank-deficient constraint Jacobian makes the step's saddle matrix
+    singular; linearizing it raises the stepper's diagnosis instead of
+    returning non-finite blocks."""
+    model = RedundantConstraintModel()
+    state = DiscreteState([0.0, 0.0], [0.0, 1.0], [0.0, 0.0])
+    nxt = DiscreteState([0.0, 0.01], [0.0, 1.0], [0.0, 0.0])
+    with pytest.raises(SingularKKTError) as exc_info:
+        linearize_step(model, state, nxt, np.zeros(0), 0.0, 0.01, step_index=4)
+    assert exc_info.value.kind == "constraint-rank"
+    assert exc_info.value.step_index == 4
 
 
 def test_state_transition_semigroup(chain4):

@@ -5,7 +5,6 @@ import pytest
 
 from varid import (
     discrete_force_minus,
-    discrete_force_plus,
     discrete_lagrangian,
     slot_derivatives,
     spring_param_derivatives,
@@ -90,13 +89,12 @@ def test_second_slot_blocks_are_consistent(chain4):
 
 
 def test_discrete_force_legs(pendulum):
-    # damping enters the minus leg at the midpoint; the plus leg is zero
+    # damping enters the discrete force at the midpoint
     rho = np.array([2.0])
     q0, q1, dt, t = np.array([0.2]), np.array([0.26]), 0.01, 1.2
     vm = (q1 - q0) / dt
     fm = discrete_force_minus(pendulum, q0, q1, rho, t, dt)
     assert fm[0] == pytest.approx(dt * (-pendulum.damping * vm[0]), rel=1e-13)
-    assert np.array_equal(discrete_force_plus(pendulum, q0, q1, rho, t, dt), [0.0])
 
 
 def test_force_jacobian_legs_match_finite_differences(chain4):

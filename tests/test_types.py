@@ -1,17 +1,9 @@
-"""Value-type construction, validation, and packing rules."""
+"""Value-type construction and validation rules."""
 
 import numpy as np
 import pytest
 
-from varid import (
-    DiscreteState,
-    LinearizationPair,
-    ParameterVector,
-    TimeGrid,
-    Trajectory,
-    state_pack,
-    state_unpack,
-)
+from varid import DiscreteState, ParameterVector, TimeGrid, Trajectory
 
 
 def test_time_grid_samples_and_duration():
@@ -85,24 +77,3 @@ def test_trajectory_length_must_match_grid():
     states = tuple(DiscreteState([0.0], [0.0], []) for _ in range(3))
     with pytest.raises(ValueError):
         Trajectory(grid=grid, states=states)
-
-
-def test_state_pack_round_trip():
-    q = np.array([1.0, 2.0, 3.0])
-    p = np.array([-1.0, 0.5, 4.0])
-    x = state_pack(q, p)
-    assert x.shape == (6,)
-    q2, p2 = state_unpack(x, 3)
-    assert np.array_equal(q2, q)
-    assert np.array_equal(p2, p)
-
-
-def test_linearization_pair_shape_validation():
-    a = np.eye(4)
-    b = np.zeros((4, 2))
-    pair = LinearizationPair(A=a, B=b, step_index=0)
-    assert pair.A.shape == (4, 4)
-    with pytest.raises(ValueError):
-        LinearizationPair(A=np.zeros((4, 3)), B=b, step_index=0)
-    with pytest.raises(ValueError):
-        LinearizationPair(A=a, B=np.zeros((3, 2)), step_index=0)
