@@ -41,7 +41,6 @@ from .model import (
     discrete_force_minus,
     discrete_lagrangian,
     slot_derivatives,
-    spring_param_derivatives,
 )
 from .models import (
     ChainModel,
@@ -127,7 +126,6 @@ __all__ = [
     "discrete_lagrangian",
     "discrete_force_minus",
     "slot_derivatives",
-    "spring_param_derivatives",
     # bundled models
     "PendulumModel",
     "StiffnessGrouping",

@@ -685,11 +685,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--seed", type=int, default=None, help="override the config noise seed"
         )
-        p.add_argument(
-            "--dump-linearization",
-            action="store_true",
-            help="also write per-step sensitivity blocks as JSON",
-        )
+        if name in ("simulate", "identify"):
+            p.add_argument(
+                "--dump-linearization",
+                action="store_true",
+                help="also write per-step sensitivity blocks as JSON",
+            )
         p.set_defaults(func=func)
     return parser
 

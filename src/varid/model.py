@@ -43,7 +43,6 @@ __all__ = [
     "DiscreteSlotDerivatives",
     "discrete_lagrangian",
     "slot_derivatives",
-    "spring_param_derivatives",
 ]
 
 
@@ -301,33 +300,3 @@ def slot_derivatives(
         d2_f_minus=d2_f_minus,
         d3_f_minus=d3_f_minus,
     )
-
-
-def spring_param_derivatives(indices, q0, q1, dt: float, rest=None) -> np.ndarray:
-    """Stiffness column of the discrete potential's mixed derivative.
-
-    For torsional springs ``V = 0.5 * kappa * sum_i (q_i - rest_i)^2``
-    acting on the joints in ``indices``, the derivative of the discrete
-    potential's first slot gradient with respect to ``kappa`` has entries
-
-        (dt / 4) * (q0_i + q1_i - 2 * rest_i)      for i in indices,
-
-    and zero elsewhere.  The same column is also the ``kappa`` derivative
-    of the second slot gradient.  Sign note: the Lagrangian subtracts the
-    potential, so this column enters the discrete Lagrangian blocks with
-    a minus sign.
-    """
-    q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    if q0.shape != q1.shape or q0.ndim != 1:
-        raise ValueError("q0 and q1 must be one-dimensional with equal length")
-    idx = np.asarray(list(indices), dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= q0.size):
-        raise ValueError("spring index out of range")
-    if rest is None:
-        rest = np.zeros_like(q0)
-    else:
-        rest = np.asarray(rest, dtype=float)
-    out = np.zeros_like(q0)
-    out[idx] = 0.25 * dt * (q0[idx] + q1[idx] - 2.0 * rest[idx])
-    return out

@@ -8,9 +8,12 @@ far end, and the base joint sits at the origin.  With absolute headings
 
     r_j(q) = sum_{m <= j} l_m * (cos phi_m, sin phi_m).
 
-All Lagrangian derivatives reduce to prefix sums of the edge vectors and
-their quarter-turn rotations, which keeps the bundle evaluation closed
-form and allocation light; see :meth:`ChainModel._tables`.
+Every derivative reduces to prefix sums of the edge vectors ``w_m`` and
+their quarter-turn rotations ``wp_m`` (:meth:`ChainModel._edges`).  The
+loop constraint ``h``, its Jacobian and Hessian, the energies and the
+forward kinematics read cumulative sums of the edges directly; only the
+Lagrangian bundle builds the ``(n, n, 2)`` tables of
+:meth:`ChainModel._tables`.
 
 Torsional springs act on joint deflections ``q_i - rest_i``.  Joints are
 partitioned into stiffness groups that share one parameter each, so the
@@ -175,6 +178,13 @@ class StiffnessGrouping:
         return cls(tuple(tuple(g) for g in groups))
 
 
+def _padded_cumsum(x: np.ndarray) -> np.ndarray:
+    """Cumulative sum of the rows of ``x`` after a leading zero row."""
+    out = np.zeros((x.shape[0] + 1, x.shape[1]))
+    np.cumsum(x, axis=0, out=out[1:])
+    return out
+
+
 @dataclass(frozen=True)
 class _ChainTables:
     """Prefix-sum tables of one configuration; see module docstring.
@@ -184,8 +194,6 @@ class _ChainTables:
     position of link ``j``'s far end.
     """
 
-    phi: np.ndarray
-    w: np.ndarray
     wp: np.ndarray
     ends: np.ndarray
     t0: np.ndarray
@@ -245,21 +253,27 @@ class ChainModel(MechanicalModel):
 
     # -- kinematics ------------------------------------------------------
 
+    def _edges(self, q):
+        """Edges ``w_m = l_m (cos phi_m, sin phi_m)`` and their rotations
+        ``wp_m = l_m (-sin phi_m, cos phi_m)``, each ``(n, 2)``."""
+        phi = np.cumsum(np.asarray(q, dtype=float))
+        w = np.empty((phi.size, 2))
+        np.cos(phi, out=w[:, 0])
+        np.sin(phi, out=w[:, 1])
+        w *= self.link_lengths[:, None]
+        # negation is exact, so wp holds the bits of l * (-sin phi, cos phi)
+        return w, w[:, ::-1] * (-1.0, 1.0)
+
     def _tables(self, q) -> _ChainTables:
-        q = np.asarray(q, dtype=float)
         n = self.n_q
-        phi = np.cumsum(q)
-        c, s = np.cos(phi), np.sin(phi)
-        w = self.link_lengths[:, None] * np.stack([c, s], axis=1)
-        wp = self.link_lengths[:, None] * np.stack([-s, c], axis=1)
-        ends = np.cumsum(w, axis=0)
+        w, wp = self._edges(q)
         # prefix sums with a zero row so t[a, j] = cum[j + 1] - cum[a]
-        cum0 = np.vstack([np.zeros(2), ends])
-        cum1 = np.vstack([np.zeros(2), np.cumsum(wp, axis=0)])
+        cum0 = _padded_cumsum(w)
+        cum1 = _padded_cumsum(wp)
         mask = (np.arange(n)[:, None] <= np.arange(n)[None, :])[:, :, None]
         t0 = (cum0[None, 1:] - cum0[:n, None]) * mask
         t1 = (cum1[None, 1:] - cum1[:n, None]) * mask
-        return _ChainTables(phi=phi, w=w, wp=wp, ends=ends, t0=t0, t1=t1)
+        return _ChainTables(wp=wp, ends=cum0[1:], t0=t0, t1=t1)
 
     def _joint_stiffness(self, rho) -> np.ndarray:
         if self._param_map is None:
@@ -269,15 +283,15 @@ class ChainModel(MechanicalModel):
     # -- energies ----------------------------------------------------------
 
     def kinetic_energy(self, q, v, rho):
-        tb = self._tables(q)
+        _, wp = self._edges(q)
         v = np.asarray(v, dtype=float)
-        av = np.cumsum(tb.wp * np.cumsum(v)[:, None], axis=0)
+        av = np.cumsum(wp * np.cumsum(v)[:, None], axis=0)
         return 0.5 * float(np.einsum("jx,jx,j->", av, av, self.link_masses))
 
     def potential_energy(self, q, rho):
-        tb = self._tables(q)
+        w, _ = self._edges(q)
         q = np.asarray(q, dtype=float)
-        vg = self.gravity * float(self.link_masses @ tb.ends[:, 1])
+        vg = self.gravity * float(self.link_masses @ np.cumsum(w, axis=0)[:, 1])
         kappa = self._joint_stiffness(rho)
         delta = q - self.rest_angles
         return vg + 0.5 * float(kappa @ delta**2)
@@ -315,19 +329,17 @@ class ChainModel(MechanicalModel):
 
         # hv[c, j] = sum_a v_a * hess[j, a, c] = -g0[c, j]
         lq_ke = -np.einsum("jx,cjx,j->c", av, g0, m_j)
+        # terms that read table row max(b, c): contract the rows, then index
+        u0 = np.einsum("jx,ejx,j->e", av, t0, m_j)
+        u1 = np.einsum("jx,ejx,j->e", av, g1, m_j)
         # qv block: d^2 L / dq_c dv_b
-        t0max = t0[maxab]  # (b, c, j, 2) after fancy indexing on first axis
-        lqv = -np.einsum("jx,bcjx,j->cb", av, t0max, m_j) - np.einsum(
-            "cjx,bjx,j->cb", g0, t1, m_j
-        )
-        lqq_ke = -np.einsum("jx,cdjx,j->cd", av, g1[maxab], m_j) + np.einsum(
-            "cjx,djx,j->cd", g0, g0, m_j
-        )
+        lqv = -u0[maxab] - np.einsum("cjx,bjx,j->cb", g0, t1, m_j)
+        lqq_ke = -u1[maxab] + np.einsum("cjx,djx,j->cd", g0, g0, m_j)
 
         # gravity
         g = self.gravity
         vg_grad = g * np.einsum("aj,j->a", t1[:, :, 1], m_j)
-        vg_hess = -g * np.einsum("abj,j->ab", t0max[:, :, :, 1], m_j)
+        vg_hess = -g * np.einsum("ej,j->e", t0[:, :, 1], m_j)[maxab]
 
         # springs
         kappa = self._joint_stiffness(rho)
@@ -390,7 +402,7 @@ class ClosedLoopModel(ChainModel):
             damping=damping,
         )
         if anchor is None:
-            anchor = self._tables(self.rest_angles).ends[-1]
+            anchor = forward_kinematics(self, self.rest_angles, self.n_q - 1)
         self.anchor = np.asarray(anchor, dtype=float)
         if self.anchor.shape != (2,):
             raise ValueError("anchor must be a 2-vector")
@@ -409,17 +421,20 @@ class ClosedLoopModel(ChainModel):
         return 2
 
     def constraint(self, q, rho):
-        return self._tables(q).ends[-1] - self.anchor
+        w, _ = self._edges(q)
+        return np.cumsum(w, axis=0)[-1] - self.anchor
 
     def constraint_jacobian(self, q, rho):
         # rows: x, y of the last link end; columns: joints
-        return self._tables(q).t1[:, -1, :].T
+        n = self.n_q
+        cum1 = _padded_cumsum(self._edges(q)[1])
+        return (cum1[n] - cum1[:n]).T
 
     def constraint_hessian(self, q, rho):
-        t0 = self._tables(q).t0
-        idx = np.arange(self.n_q)
-        maxab = np.maximum.outer(idx, idx)
-        h = -t0[maxab, -1, :]  # (a, b, 2)
+        n = self.n_q
+        cum0 = _padded_cumsum(self._edges(q)[0])
+        idx = np.arange(n)
+        h = -(cum0[n] - cum0[:n])[np.maximum.outer(idx, idx)]  # (a, b, 2)
         return np.transpose(h, (2, 0, 1))
 
 
@@ -427,14 +442,17 @@ def forward_kinematics(model: ChainModel, q, link: int) -> np.ndarray:
     """Position of the far end of ``link`` (0-based)."""
     if not 0 <= link < model.n_q:
         raise ValueError(f"link index {link} out of range")
-    return model._tables(q).ends[link].copy()
+    w, _ = model._edges(q)
+    return np.cumsum(w, axis=0)[link]
 
 
 def forward_kinematics_jacobian(model: ChainModel, q, link: int) -> np.ndarray:
     """Jacobian of :func:`forward_kinematics`, shape ``(2, n_q)``."""
     if not 0 <= link < model.n_q:
         raise ValueError(f"link index {link} out of range")
-    return model._tables(q).t1[:, link, :].T
+    n = model.n_q
+    cum1 = _padded_cumsum(model._edges(q)[1])
+    return ((cum1[link + 1] - cum1[:n]) * (np.arange(n) <= link)[:, None]).T
 
 
 def project_to_constraint(

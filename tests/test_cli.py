@@ -186,6 +186,16 @@ def test_simulate_writes_energy_and_linearization(tmp_path):
     assert np.asarray(first["B"]).shape == (2, 1)
 
 
+@pytest.mark.parametrize("command", ["generate", "check"])
+def test_dump_linearization_is_rejected_where_unused(tmp_path, capsys, command):
+    # only simulate and identify write linearization.json
+    cfg = _write_config(tmp_path / "c.json", _pendulum_config(steps=80))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--dump-linearization"])
+    assert exc.value.code == 2
+    assert "--dump-linearization" in capsys.readouterr().err
+
+
 def test_simulate_loop_keeps_constraint_residual_small(tmp_path):
     cfg = _write_config(tmp_path / "c.json", _loop_config(steps=200))
     out = tmp_path / "run"

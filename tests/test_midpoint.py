@@ -7,7 +7,6 @@ from varid import (
     discrete_force_minus,
     discrete_lagrangian,
     slot_derivatives,
-    spring_param_derivatives,
 )
 from varid.checks import finite_difference_jacobian, relative_error
 
@@ -112,38 +111,3 @@ def test_force_jacobian_legs_match_finite_differences(chain4):
     )
     assert relative_error(sd.d1_f_minus, fd1) < 1e-8
     assert relative_error(sd.d2_f_minus, fd2) < 1e-8
-
-
-def test_spring_param_derivative_rule():
-    # (dt/4) * (q0 + q1 - 2 rest) on the sprung joints, zero elsewhere
-    col = spring_param_derivatives([1], [0.0, 2.0], [0.0, 2.0], 0.01)
-    assert col[0] == 0.0
-    assert col[1] == pytest.approx(0.01, abs=1e-15)
-
-    col = spring_param_derivatives(
-        [0, 2], [0.1, 9.0, 0.3], [0.2, 9.0, 0.5], 0.04, rest=[0.05, 0.0, 0.1]
-    )
-    assert col[0] == pytest.approx(0.01 * (0.1 + 0.2 - 0.1), abs=1e-15)
-    assert col[1] == 0.0
-    assert col[2] == pytest.approx(0.01 * (0.3 + 0.5 - 0.2), abs=1e-15)
-
-
-def test_spring_param_derivatives_match_chain_blocks(chain4):
-    """The hand rule agrees with the chain's assembled parameter column,
-    up to the sign flip from L = T - V."""
-    rng = np.random.default_rng(8)
-    q0 = 0.3 * rng.standard_normal(4)
-    q1 = q0 + 0.05 * rng.standard_normal(4)
-    dt = 0.01
-    sd = slot_derivatives(chain4, q0, q1, np.array([1.3, 0.4]), 0.0, dt)
-    for g, joints in enumerate(chain4.stiffness_groups.groups):
-        col = spring_param_derivatives(joints, q0, q1, dt, rest=chain4.rest_angles)
-        assert np.allclose(sd.d3d1_ld[:, g], -col, atol=1e-14)
-        assert np.allclose(sd.d3d2_ld[:, g], -col, atol=1e-14)
-
-
-def test_spring_param_derivatives_validation():
-    with pytest.raises(ValueError):
-        spring_param_derivatives([3], [0.0, 0.0], [0.0, 0.0], 0.01)
-    with pytest.raises(ValueError):
-        spring_param_derivatives([0], [0.0, 0.0], [0.0], 0.01)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varid import (
     ChainModel,
@@ -272,3 +273,128 @@ def test_load_model_shortcuts_and_errors():
         load_model({"type": "chain"})  # no geometry at all
     with pytest.raises(ConfigError):
         load_model(["not", "a", "dict"])
+
+
+# -- lean kinematics against the prefix tables ---------------------------------
+
+
+@st.composite
+def _chain_point(draw):
+    """A random chain or closed loop of 3-24 links and a random (q, v, rho)."""
+    n = draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_groups = draw(st.integers(1, 3))
+    cls = draw(st.sampled_from([ChainModel, ClosedLoopModel]))
+    model = cls(
+        link_lengths=rng.uniform(0.05, 2.0, n),
+        link_masses=rng.uniform(0.05, 2.0, n),
+        gravity=rng.uniform(0.0, 20.0),
+        rest_angles=rng.uniform(-math.pi, math.pi, n),
+        stiffness_groups=StiffnessGrouping.from_map(np.arange(n) % n_groups),
+    )
+    q = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, n)
+    v = 3.0 * rng.standard_normal(n)
+    rho = rng.uniform(0.0, 10.0, n_groups)
+    return model, q, v, rho
+
+
+def _gathered_bundle_blocks(model, q, v, rho):
+    """``qv``, ``qq`` and ``q_grad`` of the chain bundle through the
+    ``(n, n, n, 2)`` gathers ``t0[maxab]`` and ``g1[maxab]``: the oracle
+    for the contract-then-index form in ``ChainModel.lagrangian_derivatives``."""
+    n = model.n_q
+    m_j = model.link_masses
+    tb = model._tables(q)
+    t0, t1 = tb.t0, tb.t1
+    cv = np.cumsum(v)
+    av = np.cumsum(tb.wp * cv[:, None], axis=0)
+
+    def weighted_max_contraction(t):
+        s = v[:, None, None] * t
+        cs = np.cumsum(s, axis=0)
+        tail = cs[-1][None, :, :] - cs
+        return cv[:, None, None] * t + tail
+
+    g0 = weighted_max_contraction(t0)
+    g1 = weighted_max_contraction(t1)
+    idx = np.arange(n)
+    maxab = np.maximum.outer(idx, idx)
+    lq_ke = -np.einsum("jx,cjx,j->c", av, g0, m_j)
+    t0max = t0[maxab]
+    lqv = -np.einsum("jx,bcjx,j->cb", av, t0max, m_j) - np.einsum(
+        "cjx,bjx,j->cb", g0, t1, m_j
+    )
+    lqq_ke = -np.einsum("jx,cdjx,j->cd", av, g1[maxab], m_j) + np.einsum(
+        "cjx,djx,j->cd", g0, g0, m_j
+    )
+    g = model.gravity
+    vg_grad = g * np.einsum("aj,j->a", t1[:, :, 1], m_j)
+    vg_hess = -g * np.einsum("abj,j->ab", t0max[:, :, :, 1], m_j)
+    kappa = model._joint_stiffness(rho)
+    delta = q - model.rest_angles
+    return lqv, lqq_ke - vg_hess - np.diag(kappa), lq_ke - vg_grad - kappa * delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chain_point())
+def test_lean_kinematics_bit_identical_to_tables(point):
+    model, q, v, rho = point
+    n = model.n_q
+    tb = model._tables(q)
+    idx = np.arange(n)
+    maxab = np.maximum.outer(idx, idx)
+
+    for link in range(n):
+        assert np.array_equal(forward_kinematics(model, q, link), tb.ends[link])
+        assert np.array_equal(
+            forward_kinematics_jacobian(model, q, link), tb.t1[:, link, :].T
+        )
+
+    cv = np.cumsum(v)
+    av = np.cumsum(tb.wp * cv[:, None], axis=0)
+    ke = 0.5 * float(np.einsum("jx,jx,j->", av, av, model.link_masses))
+    kappa = model._joint_stiffness(rho)
+    delta = q - model.rest_angles
+    pe = model.gravity * float(model.link_masses @ tb.ends[:, 1]) + 0.5 * float(
+        kappa @ delta**2
+    )
+    assert model.kinetic_energy(q, v, rho) == ke
+    assert model.potential_energy(q, rho) == pe
+
+    b = model.lagrangian_derivatives(q, v, rho)
+    qv, qq, q_grad = _gathered_bundle_blocks(model, q, v, rho)
+    assert np.array_equal(b.qv, qv)
+    assert np.array_equal(b.qq, qq)
+    assert np.array_equal(b.q_grad, q_grad)
+
+    if isinstance(model, ClosedLoopModel):
+        assert np.array_equal(model.constraint(q, rho), tb.ends[-1] - model.anchor)
+        assert np.array_equal(model.constraint_jacobian(q, rho), tb.t1[:, -1, :].T)
+        assert np.array_equal(
+            model.constraint_hessian(q, rho),
+            np.transpose(-tb.t0[maxab, -1, :], (2, 0, 1)),
+        )
+
+
+def test_only_the_bundle_builds_chain_tables(loop6, monkeypatch):
+    def no_tables(self, q):
+        raise AssertionError("prefix tables built outside the bundle")
+
+    monkeypatch.setattr(ChainModel, "_tables", no_tables)
+    rng = np.random.default_rng(31)
+    rho = np.array([4.0, 1.0])
+    q = loop6.closed_rest + 0.1 * rng.standard_normal(6)
+    v = rng.standard_normal(6)
+    loop6.constraint(q, rho)
+    loop6.constraint_jacobian(q, rho)
+    loop6.constraint_hessian(q, rho)
+    loop6.kinetic_energy(q, v, rho)
+    loop6.potential_energy(q, rho)
+    forward_kinematics(loop6, q, 3)
+    forward_kinematics_jacobian(loop6, q, 3)
+    # the default anchor and the projection of the rest shape
+    ClosedLoopModel(
+        link_lengths=loop6.link_lengths,
+        link_masses=loop6.link_masses,
+        rest_angles=loop6.rest_angles + 0.05,
+    )
